@@ -20,7 +20,7 @@ store keeps the global↔local mapping.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 class CSRIndex:
@@ -71,6 +71,41 @@ class CSRIndex:
                 edge_ids[base + k] = eid
         return cls(offsets, targets, edge_ids)
 
+    def resharded(
+        self,
+        gone: Sequence[int],
+        rows: Sequence[Optional[Tuple[array, array]]],
+    ) -> "CSRIndex":
+        """A new index without the sources ``gone`` and with ``rows`` appended.
+
+        ``gone`` lists local indexes in ascending order; ``rows`` holds one
+        ``(targets, edge_ids)`` pair (or ``None`` for no edges) per new
+        source, numbered after the survivors. Survivors keep their
+        relative order, and each run of consecutive survivors is copied as
+        one contiguous slice of the typed arrays, so the Python-level work
+        is one offset per source plus one slice per appended row.
+        """
+        off, tg, ei = self._offsets, self._targets, self._edge_ids
+        offsets = array("q", [0])
+        targets = array("q")
+        edge_ids = array("q")
+        start = 0
+        for stop in [*gone, len(off) - 1]:
+            if stop > start:
+                lo, hi = off[start], off[stop]
+                shift = len(targets) - lo
+                targets += tg[lo:hi]
+                edge_ids += ei[lo:hi]
+                run = off[start + 1:stop + 1]
+                offsets += array("q", [o + shift for o in run]) if shift else run
+            start = stop + 1
+        for row in rows:
+            if row is not None:
+                targets += row[0]
+                edge_ids += row[1]
+            offsets.append(len(targets))
+        return CSRIndex(offsets, targets, edge_ids)
+
     @property
     def num_sources(self) -> int:
         return len(self._offsets) - 1
@@ -117,6 +152,16 @@ class CSRIndex:
     def neighbors_slice(self, lo: int, hi: int) -> array:
         """Bulk accessor: target gids in ``[lo, hi)`` as a typed array."""
         return self._targets[lo:hi]
+
+    def row(self, local_src: int) -> Tuple[array, array]:
+        """``local_src``'s ``(targets, edge_ids)`` slices as typed arrays."""
+        lo = self._offsets[local_src]
+        hi = self._offsets[local_src + 1]
+        return self._targets[lo:hi], self._edge_ids[lo:hi]
+
+    def min_edge_id(self) -> int:
+        """The smallest edge id in the index (raises when it has none)."""
+        return min(self._edge_ids)
 
     def neighbors(self, local_src: int) -> List[int]:
         """Target global vertex ids of ``local_src``'s edges."""

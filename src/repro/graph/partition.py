@@ -16,13 +16,15 @@ table — and this module keeps the storage side. A partition stores:
 Cut edges appear in the out-CSR of the source's partition and the in-CSR of
 the destination's partition; traversers, not edges, cross partitions.
 :meth:`PartitionedGraph.move_vertices` relocates vertices between stores
-(rows, edge records, rebuilt CSRs) in lockstep with the placement flip —
+(adjacency rows, edge records, indexes) in lockstep with the placement flip —
 the storage half of live migration (docs/PARTITIONING.md).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from array import array
+from collections import Counter
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import PartitionError, VertexNotFoundError
 from repro.graph.csr import CSRIndex
@@ -33,6 +35,10 @@ from repro.graph.property_graph import BOTH, IN, OUT, Edge, PropertyGraph
 #: during migration (labels + props headers; target gid + edge id)
 VERTEX_SHIP_BYTES = 64
 EDGE_SHIP_BYTES = 24
+
+#: what a moved vertex ships: its non-empty rows per (direction, label)
+#: CSR key as ``(targets, edge_ids)``, and the records of those edges
+ShippedRows = Tuple[Dict[Tuple[str, str], Tuple[array, array]], Dict[int, Edge]]
 
 
 class HashPartitioner(Placement):
@@ -217,13 +223,45 @@ class PartitionStore:
 
     # -- migration ------------------------------------------------------
 
+    def _ship_rows(self, vid: int) -> ShippedRows:
+        """A resident vertex's adjacency rows and edge records.
+
+        What a migration ships to the new owner: the non-empty
+        ``(targets, edge_ids)`` row of every CSR, keyed like ``_csr``, and
+        the record of every edge in them. A row lists all of the vertex's
+        edges in one direction and label, wherever the neighbors live, so
+        it is valid unchanged on any partition.
+        """
+        local = self._local_index[vid]
+        records = self._edge_records
+        rows: Dict[Tuple[str, str], Tuple[array, array]] = {}
+        shipped: Dict[int, Edge] = {}
+        for key, csr in self._csr.items():
+            targets, eids = csr.row(local)
+            if eids:
+                rows[key] = (targets, eids)
+                for eid in eids:
+                    shipped[eid] = records[eid]
+        return rows, shipped
+
     def _reshard(
         self,
-        local_vertices: List[int],
-        csrs: Dict[Tuple[str, str], CSRIndex],
-        edge_records: Dict[int, Edge],
+        departed: List[int],
+        arrivals: List[int],
+        shipped: Mapping[int, ShippedRows],
     ) -> None:
-        """Replace this partition's contents in place (live migration).
+        """Move rows out of and into this partition in place (live migration).
+
+        ``departed`` residents leave; ``arrivals`` (in vid order) join with
+        the rows ``shipped`` from their old owners. Survivors keep their
+        dense order and their CSR slices are copied as contiguous runs;
+        arrivals are appended after them. CSRs left empty are dropped, and
+        keys stay ordered OUT before IN, then by smallest eid, the order
+        :meth:`PartitionedGraph.from_graph` creates them in. An edge record
+        leaves with a departed vertex unless its other endpoint still
+        lives here. The cost is O(moved rows + resident count) per
+        partition, plus a memcpy of the surviving arrays (and a min-eid
+        scan per CSR when several labels share a direction).
 
         Mutates the existing containers instead of rebinding them:
         kernels, step contexts, and drains hold references to these dicts
@@ -231,17 +269,48 @@ class PartitionStore:
         all of them at one simulated instant. Built property indexes are
         rebuilt over the new resident set.
         """
-        self._local_vertices[:] = local_vertices
-        self._local_index.clear()
-        self._local_index.update(
-            {vid: i for i, vid in enumerate(local_vertices)}
-        )
+        index = self._local_index
+        gone = sorted(index[vid] for vid in departed)
+        leaving = set(departed)
+        local = [vid for vid in self._local_vertices if vid not in leaving]
+        local.extend(arrivals)
+        arrival_rows = [shipped[vid][0] for vid in arrivals]
+        keys = dict.fromkeys(self._csr)
+        for rows in arrival_rows:
+            keys.update(dict.fromkeys(rows))
+        old_n = len(self._local_vertices)
+        csrs: Dict[Tuple[str, str], CSRIndex] = {}
+        for key in keys:
+            base = self._csr.get(key)
+            if base is None:  # a label new to this partition
+                base = CSRIndex([0] * (old_n + 1), (), ())
+            csr = base.resharded(gone, [rows.get(key) for rows in arrival_rows])
+            if csr.num_edges:
+                csrs[key] = csr
+
+        self._local_vertices[:] = local
+        index.clear()
+        index.update({vid: i for i, vid in enumerate(local)})
+        records = self._edge_records
+        for vid in departed:
+            for targets, eids in shipped[vid][0].values():
+                for other, eid in zip(targets, eids):
+                    if other not in index:
+                        records.pop(eid, None)
+        for vid in arrivals:
+            records.update(shipped[vid][1])
+        # OUT before IN, then by smallest eid (a lone key needs no scan)
+        per_direction = Counter(direction for direction, _l in csrs)
+
+        def rank(key: Tuple[str, str]) -> Tuple[bool, int]:
+            crowded = per_direction[key[0]] > 1
+            return key[0] != OUT, csrs[key].min_edge_id() if crowded else 0
+
         self._csr.clear()
-        self._csr.update(csrs)
-        self._edge_records.clear()
-        self._edge_records.update(edge_records)
+        for key in sorted(csrs, key=rank):
+            self._csr[key] = csrs[key]
         self._label_index.clear()
-        for vid in local_vertices:
+        for vid in local:
             self._label_index.setdefault(self._vertex_labels[vid], []).append(vid)
         for vertex_label, key in list(self._prop_index):
             self.build_property_index(vertex_label, key)
@@ -384,14 +453,15 @@ class PartitionedGraph:
 
         The storage half of live migration: applies the placement
         relocation (write-through, so routing flips atomically), then
-        reshards every affected store in place — local vertex lists, CSR
-        adjacency (rebuilt on both sides; cut edges appear in both
-        partitions per the class invariant), edge records, and built
-        indexes. Returns ``(applied_moves, modelled_ship_bytes)``; no-op
-        moves are dropped. Runtime state (memos, queued traversers,
-        checkpoints) is the :class:`~repro.runtime.migrate.Migrator`'s
-        job — callers that only need a static repartition can use this
-        directly.
+        moves each vertex's adjacency rows and edge records from its old
+        owner to its new one, resharding every affected store in place
+        (cut edges stay in both partitions per the class invariant; built
+        indexes follow). Only the moved rows are touched, so the cost
+        scales with the batch, not the graph. Returns ``(applied_moves,
+        modelled_ship_bytes)``; no-op moves are dropped. Runtime state
+        (memos, queued traversers, checkpoints) is the
+        :class:`~repro.runtime.migrate.Migrator`'s job — callers that only
+        need a static repartition can use this directly.
         """
         placement = self.partitioner
         old_pid: Dict[int, int] = {}
@@ -402,66 +472,29 @@ class PartitionedGraph:
         applied = placement.relocate(moves)
         if not applied:
             return {}, 0
+        # The stores still hold the pre-flip rows: read what each vertex ships.
+        shipped = {
+            vid: self.stores[old_pid[vid]]._ship_rows(vid) for vid in applied
+        }
         ship_bytes = 0
-        for vid in applied:
-            degree = self.stores[old_pid[vid]].degree(vid, BOTH)
+        departed: Dict[int, List[int]] = {}
+        arrivals: Dict[int, List[int]] = {}
+        for vid, pid in applied.items():
+            degree = sum(len(eids) for _t, eids in shipped[vid][0].values())
             ship_bytes += VERTEX_SHIP_BYTES + degree * EDGE_SHIP_BYTES
-        affected = {old_pid[v] for v in applied} | set(applied.values())
-        # One global edge map: eids are unique, cut edges appear twice.
-        edges: Dict[int, Edge] = {}
-        for store in self.stores:
-            edges.update(store._edge_records)
-        for pid in sorted(affected):
-            self._rebuild_partition(pid, applied, edges)
+            departed.setdefault(old_pid[vid], []).append(vid)
+            arrivals.setdefault(pid, []).append(vid)
+        for pid in sorted(departed.keys() | arrivals.keys()):
+            self.stores[pid]._reshard(
+                departed.get(pid, []), sorted(arrivals.get(pid, ())), shipped
+            )
         return applied, ship_bytes
-
-    def _rebuild_partition(
-        self, pid: int, applied: Dict[int, int], edges: Dict[int, Edge]
-    ) -> None:
-        """Reshard one store to match the current placement.
-
-        Keeps the surviving residents' dense order (CSR locality is
-        preserved for untouched vertices) and appends arrivals in vid
-        order; adjacency lists are rebuilt in eid order, which is the
-        original insertion order ``from_graph`` used.
-        """
-        placement = self.partitioner
-        store = self.stores[pid]
-        local = [v for v in store._local_vertices if placement(v) == pid]
-        present = store._local_index
-        local.extend(sorted(
-            v for v, p in applied.items() if p == pid and v not in present
-        ))
-        local_index = {vid: i for i, vid in enumerate(local)}
-        out_adj: Dict[str, Dict[int, List[Tuple[int, int]]]] = {}
-        in_adj: Dict[str, Dict[int, List[Tuple[int, int]]]] = {}
-        records: Dict[int, Edge] = {}
-        for eid in sorted(edges):
-            edge = edges[eid]
-            if placement(edge.src) == pid:
-                out_adj.setdefault(edge.label, {}).setdefault(
-                    local_index[edge.src], []
-                ).append((edge.dst, edge.eid))
-                records[eid] = edge
-            if placement(edge.dst) == pid:
-                in_adj.setdefault(edge.label, {}).setdefault(
-                    local_index[edge.dst], []
-                ).append((edge.src, edge.eid))
-                records[eid] = edge
-        n = len(local)
-        csrs: Dict[Tuple[str, str], CSRIndex] = {}
-        for label, adj in out_adj.items():
-            csrs[(OUT, label)] = CSRIndex.from_adjacency(n, adj)
-        for label, adj in in_adj.items():
-            csrs[(IN, label)] = CSRIndex.from_adjacency(n, adj)
-        store._reshard(local, csrs, records)
 
     @classmethod
     def from_graph(
         cls,
         graph: PropertyGraph,
         num_partitions: int,
-        partitioner: Optional[Callable[[int], int]] = None,
     ) -> "PartitionedGraph":
         """Shard ``graph`` into ``num_partitions`` partitions.
 
@@ -469,8 +502,6 @@ class PartitionedGraph:
         source partition's out-CSR and the destination partition's in-CSR.
         """
         hp = HashPartitioner(num_partitions)
-        if partitioner is not None:
-            hp.__call__ = partitioner  # pragma: no cover - escape hatch
         assignment: Dict[int, int] = {}
         local_lists: List[List[int]] = [[] for _ in range(num_partitions)]
         bound = 0

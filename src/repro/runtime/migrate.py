@@ -25,7 +25,9 @@ Two cooperating pieces:
      the new owner would visit a moved vertex twice);
   2. **flip + reshard** — :meth:`PartitionedGraph.move_vertices` updates
      the relocation table (written through the hot-path pid cache) and
-     rebuilds the affected CSR stores in place;
+     moves only the migrated rows: each moved vertex's adjacency rows and
+     edge records go from its old owner's store to its new one, in place,
+     at O(moved rows + resident count) per affected partition;
   3. **ship state** — resident memo records whose integer keys follow
      vertex placement (dedup members, Distance records, int join keys)
      move to the new owner's store, and stored stage-boundary

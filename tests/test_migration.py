@@ -5,7 +5,9 @@ docs/PARTITIONING.md):
 
 1. **storage integrity** — ``PartitionedGraph.move_vertices`` relocates
    rows without changing the graph: adjacency, labels, properties,
-   total edge counts, and index hits are placement-independent;
+   total edge counts, and index hits are placement-independent, and
+   every store equals what a full rebuild from a global edge map (the
+   reference kept in this file) would produce;
 2. **bit-identity under traffic** — a query running while the placement
    flips produces exactly the rows of an unmigrated run, completes
    without restarts, and leaves a clean weight-ledger audit (each
@@ -26,10 +28,20 @@ the shared session-scoped fixtures are off limits here.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.progress import ProgressMode
 from repro.errors import ExecutionError
-from repro.graph.property_graph import BOTH
+from repro.graph.builder import GraphBuilder
+from repro.graph.csr import CSRIndex
+from repro.graph.partition import (
+    EDGE_SHIP_BYTES,
+    VERTEX_SHIP_BYTES,
+    PartitionedGraph,
+)
+from repro.graph.property_graph import BOTH, IN, OUT
+from repro.ldbc.generator import SNB_TINY, generate_snb
 from repro.query.traversal import Traversal
 from repro.runtime.engine import AsyncPSTMEngine, EngineConfig
 from repro.runtime.faults import FaultPlan, WorkerFault
@@ -150,6 +162,214 @@ class TestStorageMoves:
         graph.move_vertices(arbitrary_moves(graph, seed=11))
         for v, deg in before.items():
             assert graph.store_of(v).degree(v, BOTH) == deg
+
+
+# -- reshard oracle -----------------------------------------------------------
+
+
+def reference_move(graph, moves):
+    """The former full-rebuild reshard, kept only as the oracle here.
+
+    Relocates, merges every store's edge records into one global map, and
+    re-derives each affected partition from it in eid order: survivors in
+    their old dense order, arrivals appended in vid order, CSR keys OUT
+    before IN in order of first appearance. Returns ``(applied,
+    ship_bytes)`` like :meth:`PartitionedGraph.move_vertices`.
+    """
+    placement = graph.partitioner
+    old_pid = {vid: placement(vid) for vid in moves}
+    applied = placement.relocate(moves)
+    if not applied:
+        return {}, 0
+    ship_bytes = sum(
+        VERTEX_SHIP_BYTES
+        + EDGE_SHIP_BYTES * graph.stores[old_pid[vid]].degree(vid, BOTH)
+        for vid in applied
+    )
+    edges = {}
+    for store in graph.stores:
+        edges.update(store._edge_records)
+    for pid in sorted({old_pid[v] for v in applied} | set(applied.values())):
+        store = graph.stores[pid]
+        local = [v for v in store._local_vertices if placement(v) == pid]
+        local.extend(sorted(
+            v for v, p in applied.items()
+            if p == pid and v not in store._local_index
+        ))
+        index = {vid: i for i, vid in enumerate(local)}
+        out_adj, in_adj, records = {}, {}, {}
+        for eid in sorted(edges):
+            edge = edges[eid]
+            if placement(edge.src) == pid:
+                out_adj.setdefault(edge.label, {}).setdefault(
+                    index[edge.src], []).append((edge.dst, eid))
+                records[eid] = edge
+            if placement(edge.dst) == pid:
+                in_adj.setdefault(edge.label, {}).setdefault(
+                    index[edge.dst], []).append((edge.src, eid))
+                records[eid] = edge
+        store._local_vertices[:] = local
+        store._local_index.clear()
+        store._local_index.update(index)
+        store._csr.clear()
+        for direction, adjacency in ((OUT, out_adj), (IN, in_adj)):
+            for label, adj in adjacency.items():
+                store._csr[(direction, label)] = CSRIndex.from_adjacency(
+                    len(local), adj)
+        store._edge_records.clear()
+        store._edge_records.update(records)
+        store._label_index.clear()
+        for vid in local:
+            store._label_index.setdefault(
+                store._vertex_labels[vid], []).append(vid)
+        for vertex_label, key in list(store._prop_index):
+            store.build_property_index(vertex_label, key)
+    return applied, ship_bytes
+
+
+def store_state(store):
+    """Everything a reshard may change, in comparable form."""
+    return {
+        "local_vertices": list(store._local_vertices),
+        "local_index": dict(store._local_index),
+        "csr_keys": list(store._csr),
+        "csr_arrays": {key: (csr._offsets, csr._targets, csr._edge_ids)
+                       for key, csr in store._csr.items()},
+        "edge_records": dict(store._edge_records),
+        "label_index": {k: list(v) for k, v in store._label_index.items()},
+        "prop_index": {k: {val: list(vids) for val, vids in idx.items()}
+                       for k, idx in store._prop_index.items()},
+    }
+
+
+def assert_matches_oracle(build, batches):
+    """Move ``build()`` incrementally and a twin through the reference;
+    after every batch each store must equal its twin exactly."""
+    graph, twin = build(), build()
+    for moves in batches:
+        assert graph.move_vertices(moves) == reference_move(twin, moves)
+        assert graph.partitioner.relocations() == twin.partitioner.relocations()
+        for got, want in zip(graph.stores, twin.stores):
+            assert store_state(got) == store_state(want), f"partition {got.pid}"
+    return graph
+
+
+def seeded_moves(graph, seed, k):
+    """``k`` seeded moves to any partition, no-ops included."""
+    rng = random.Random(seed)
+    vids = rng.sample(sorted(graph._vertex_labels), k)
+    return {vid: rng.randrange(graph.num_partitions) for vid in vids}
+
+
+def home_moves(graph, vids):
+    return {vid: graph.partitioner.home(vid) for vid in vids}
+
+
+def labelled_graph(seed, n=40, partitions=4):
+    """A small multi-label graph with self-loops, parallel edges, a rare
+    edge label, and a property index on one of two vertex labels."""
+    rng = random.Random(seed)
+    b = GraphBuilder("p")
+    for v in range(n):
+        b.vertex(v, "p" if v % 3 else "q", colour=rng.randrange(4))
+    for _ in range(4 * n):
+        b.edge(rng.randrange(n), rng.randrange(n), rng.choice("aab"))
+    b.edge(rng.randrange(n), rng.randrange(n), "rare")
+    graph = PartitionedGraph.from_graph(b.build(), partitions)
+    graph.create_index("p", "colour")
+    return graph
+
+
+def snb_tiny():
+    return generate_snb(SNB_TINY).partitioned(4)
+
+
+class TestReshardOracle:
+    """``move_vertices`` moves only the moved rows; every store must still
+    equal what the full rebuild from a global edge map produces."""
+
+    def test_seeded_batches_and_return_home(self):
+        graph = make_graph(3)
+        batches = [seeded_moves(graph, seed, 30) for seed in range(1, 5)]
+        batches.append(home_moves(graph, range(GRAPH_N)))
+        moved = assert_matches_oracle(lambda: make_graph(3), batches)
+        assert moved.partitioner.relocations() == {}
+
+    def test_multi_label_ldbc_key_order(self):
+        graph = snb_tiny()
+        # several OUT labels per partition: CSR key order is observable
+        assert all(sum(d == OUT for d, _l in s._csr) > 1 for s in graph.stores)
+        batches = [seeded_moves(graph, seed, 150) for seed in (21, 22, 23)]
+        vids = {v for batch in batches for v in batch}
+        batches.append(home_moves(graph, sorted(vids)))
+        assert_matches_oracle(snb_tiny, batches)
+
+    def test_both_endpoints_move_in_one_batch(self):
+        graph = make_graph(3)
+        edge = next(e for e in graph.stores[0]._edge_records.values()
+                    if graph.partition_of(e.dst) == 0)
+        n = graph.num_partitions
+        moves = {edge.src: 1, edge.dst: 2 % n}
+        # and a cut edge whose endpoints trade places
+        cut = next(e for e in graph.stores[1]._edge_records.values()
+                   if graph.partition_of(e.dst) == 3)
+        moves.update({cut.src: 3, cut.dst: 1})
+        moved = assert_matches_oracle(lambda: make_graph(3), [moves])
+        assert edge.eid not in moved.stores[0]._edge_records
+        assert cut.eid in moved.stores[1]._edge_records
+        assert cut.eid in moved.stores[3]._edge_records
+
+    def test_move_then_back_home(self):
+        graph = make_graph(5)
+        moves = seeded_moves(graph, 8, 40)
+        owned = [sorted(s._local_vertices) for s in graph.stores]
+        moved = assert_matches_oracle(
+            lambda: make_graph(5), [moves, home_moves(graph, moves)])
+        assert [sorted(s._local_vertices) for s in moved.stores] == owned
+
+    def test_noop_move_changes_nothing(self):
+        graph = make_graph(3)
+        before = [store_state(s) for s in graph.stores]
+        stay = {v: graph.partition_of(v) for v in range(0, GRAPH_N, 9)}
+        assert graph.move_vertices(stay) == ({}, 0)
+        assert [store_state(s) for s in graph.stores] == before
+
+    def test_label_csr_emptied_and_created(self):
+        graph = labelled_graph(4)
+        rare = next(e for s in graph.stores for e in s._edge_records.values()
+                    if e.label == "rare")
+        src_pid = graph.partition_of(rare.src)
+        target = (src_pid + 1) % graph.num_partitions
+        assert (OUT, "rare") in graph.stores[src_pid]._csr
+        assert (OUT, "rare") not in graph.stores[target]._csr
+        moved = assert_matches_oracle(
+            lambda: labelled_graph(4), [{rare.src: target}])
+        assert (OUT, "rare") not in moved.stores[src_pid]._csr
+        assert (OUT, "rare") in moved.stores[target]._csr
+
+    def test_property_index_follows_moves(self):
+        def build():
+            graph = make_graph(3)
+            graph.create_index("v", "weight")
+            return graph
+
+        graph = build()
+        moves = seeded_moves(graph, 13, 50)
+        moved = assert_matches_oracle(build, [moves])
+        for vid, pid in moves.items():
+            weight = moved.get_vertex_property(vid, "weight")
+            assert vid in moved.stores[pid].index_lookup("v", "weight", weight)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        batches=st.lists(
+            st.dictionaries(st.integers(0, 39), st.integers(0, 3),
+                            max_size=12),
+            min_size=1, max_size=4),
+    )
+    def test_fuzzed_batches_match_oracle(self, seed, batches):
+        assert_matches_oracle(lambda: labelled_graph(seed), batches)
 
 
 class TestMigrateDuringRun:
