@@ -27,7 +27,7 @@ budgets, or the query lifecycle — those stay above it in the engine.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.progress import ProgressMode
 from repro.core.traverser import Traverser
@@ -55,14 +55,6 @@ class DeliveryPlane:
         #: queries mid-cancellation: cancelled but their stage ledger has
         #: not yet re-absorbed all outstanding progression weight
         self.cancelling: Dict[int, "QuerySession"] = {}
-        #: retired attempt ids being replaced by a checkpoint restore:
-        #: their reclaims must NOT report to the tracker (docs/RECOVERY.md).
-        #: The restored attempt re-dispatches the checkpointed frontier
-        #: itself; letting the dead attempt's purged weight also reach its
-        #: still-open ledger would double-count the same progression
-        #: weight and could spuriously "complete" the dead stage mid-
-        #: restore. The exactly-once funnel stays exactly-once by fencing.
-        self.fenced: Set[int] = set()
         #: per-partition credit gates (None → backpressure disarmed)
         self.gates: Optional[List[CreditGate]] = (
             [
@@ -254,18 +246,11 @@ class DeliveryPlane:
                     engine.clock.now,
                     engine.cost.combine_partial_us * len(session.partials),
                 )
-                # Stamp the deferred combine with the attempt id: a crash
-                # restore in the charge window rekeys the *same* session
-                # object (fresh query_id, partials reset), so the
-                # sessions-identity guard inside _complete_stage alone
-                # would let this stale event combine empty partials and
-                # retire the restored attempt.
+                # Keyed by attempt id: a restore in the charge window
+                # retires this id, so the stale combine resolves to nothing.
                 engine.clock.schedule_at(
                     done_at,
-                    lambda s=session, st=stage, a=query_id: (
-                        engine._complete_stage(s, st)
-                        if s.query_id == a else None
-                    ),
+                    lambda q=query_id, st=stage: engine._complete_stage(q, st),
                 )
         else:  # pragma: no cover
             raise ExecutionError(f"unexpected tracker message kind {msg.kind}")
@@ -291,27 +276,16 @@ class DeliveryPlane:
         is folded into the stage ledger via one tracker-direct report (a
         costless control-plane shortcut: the cancel fan-out already paid
         the wire, and a reclamation report has no ordering hazard since
-        the ledger only sums). ``report=False`` is the teardown variant:
-        the ledger is being closed outright, so weight is discarded.
+        the ledger only sums). ``report=False`` is :meth:`evict_attempt`'s
+        variant: the attempt's ledgers are being closed outright, so the
+        weight is discarded and only the traverser counters are charged.
         ``session`` overrides the mid-cancellation lookup for queries no
         longer in :attr:`cancelling`.
-
-        A query id in :attr:`fenced` (a retired attempt being replaced by
-        a checkpoint restore) takes the no-op path regardless of
-        ``report``: its traverser counters are still charged, but the
-        tracker never hears about the weight. The restored attempt
-        replays the checkpointed frontier itself; reporting the dead
-        attempt's purged weight here too would double-count it in the
-        ProgressTracker and could spuriously close the dead stage's
-        still-open ledger mid-restore.
         """
-        fenced = query_id in self.fenced
-        if fenced:
-            report = False
         if self.engine.trace is not None:
             self.engine.trace.emit(RECLAIM, query_id, stage=stage,
                                    weight=weight % GROUP_MODULUS, count=count,
-                                   reported=report, fenced=fenced)
+                                   reported=report)
         if count:
             self.engine.metrics.traversers_reclaimed += count
             if session is None:
@@ -356,28 +330,35 @@ class DeliveryPlane:
                 n += w_n
         self.reclaim(query_id, stage, weight, n)
 
-    def teardown(self, session: "QuerySession") -> None:
-        """Hard per-partition cleanup of a cancelled/aborted query.
+    def evict_attempt(self, session: "QuerySession", reason: str) -> None:
+        """Remove every trace of one query attempt from the cluster.
 
-        The reclaim variant with ``report=False``: the query's progress
-        state is closed outright below, so purged weight has no ledger to
-        report to — only the traverser counters are charged.
+        The evict half of the attempt splice (docs/RECOVERY.md), shared by
+        cancel/abort (``"teardown"``), force-retry (``"recover"``),
+        checkpoint restore (``"restore"``), and pause (``"pause"``): the
+        attempt's memos, queued / inboxed / worker-buffered traversers,
+        and unflushed accumulator weight leave exactly once, then its
+        progress state is closed. Every purge takes :meth:`reclaim`'s
+        ``report=False`` form — the attempt's ledgers close outright, and
+        a retry/restore/resume re-dispatches the frontier under a fresh
+        id, so reporting the purged weight would double-count it. Nothing
+        can re-enter between the purges: credit grants are clock events.
         """
         engine = self.engine
         query_id = session.query_id
         if engine.trace is not None:
-            engine.trace.emit(MEMO_CLEAR, query_id, pid=-1, site="teardown")
+            engine.trace.emit(MEMO_CLEAR, query_id, pid=-1, site=reason)
+            engine.trace.emit(QUERY_CLOSE, query_id, reason=reason)
         for runtime in engine.runtimes:
             runtime.memo_store.clear_query(query_id)
-            _w, n = self.purge_partition(runtime, query_id)
-            self.reclaim(query_id, -1, 0, n, report=False, session=session)
+            w, n = self.purge_partition(runtime, query_id)
+            self.reclaim(query_id, -1, w, n, report=False, session=session)
         for worker in engine.workers:
-            _w, n = worker.reclaim_query(query_id)
-            self.reclaim(query_id, -1, 0, n, report=False, session=session)
+            w, n = worker.reclaim_query(query_id)
+            self.reclaim(query_id, -1, w, n, report=False, session=session)
         self.inflight.pop(query_id, None)
         engine.progress.close_query(query_id)
-        if engine.trace is not None:
-            engine.trace.emit(QUERY_CLOSE, query_id, reason="teardown")
+        engine.sessions.pop(query_id, None)
 
 
 class TrackerActor:

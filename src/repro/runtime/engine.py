@@ -521,7 +521,7 @@ class AsyncPSTMEngine:
                 QueryState.PARTIAL if session._salvaged else QueryState.FAILED,
                 reason,
             )
-            self.delivery.teardown(session)
+            self.delivery.evict_attempt(session, "teardown")
             self._retire(session)
             return
         session.lifecycle.to(QueryState.CANCELLING, reason)
@@ -562,7 +562,7 @@ class AsyncPSTMEngine:
             QueryState.PARTIAL if session._salvaged else QueryState.FAILED,
             session.qmetrics.cancel_reason,
         )
-        self.delivery.teardown(session)
+        self.delivery.evict_attempt(session, "teardown")
         self._retire(session)
 
     # -- dispatch -----------------------------------------------------------
@@ -690,13 +690,12 @@ class AsyncPSTMEngine:
         session.expected_partials = expected
         session.partials = []
         if expected == 0:
-            self._complete_stage(session, stage)
+            self._complete_stage(query_id, stage)
 
-    def _complete_stage(self, session: QuerySession, stage: int) -> None:
-        if self.sessions.get(session.query_id) is not session:
-            return  # cancelled/aborted while the combine event was queued
-        if session.cursor.current != stage or session.cursor.finished:
-            return
+    def _complete_stage(self, query_id: int, stage: int) -> None:
+        session = self.sessions.get(query_id)
+        if session is None or session.cursor.current != stage or session.cursor.finished:
+            return  # attempt retired (or stage done) while the combine was queued
         # The stage's ledger has served its purpose; drop it so late
         # (retransmitted / stale) weight reports resolve to "unknown stage"
         # instead of accumulating terminated ledgers for the query's life.

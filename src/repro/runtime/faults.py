@@ -39,18 +39,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.core.subquery import StageCursor
 from repro.errors import ConfigurationError
 from repro.runtime.lifecycle import REASON_RETRY_BUDGET, QueryState
-from repro.runtime.trace import (
-    MEMO_CLEAR,
-    QUERY_CLOSE,
-    RESTORE,
-    STAGE_OPEN,
-    WORKER_FAULT,
-)
+from repro.runtime.trace import RESTORE, STAGE_OPEN, WORKER_FAULT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.checkpoint import StageCheckpoint
@@ -360,11 +353,11 @@ class RecoveryManager:
         With checkpointing armed and a stage-boundary checkpoint stored,
         recovery resumes from it (:meth:`restore_query`) and replays only
         the work after the boundary. Otherwise the abandoned attempt is
-        torn down completely — per-partition memos invalidated, queued
-        traversers purged, progress state closed — and the query restarts
-        from its stage-0 seeds. Either way the fresh attempt gets a
-        **new query id**, so anything of the old attempt still in flight
-        (buffered traversers, retransmitted packets, stale weight reports)
+        evicted completely (``DeliveryPlane.evict_attempt``: memos,
+        queued, buffered and accumulated state, progress ledgers) and the
+        query restarts from its stage-0 seeds. Either way the fresh
+        attempt gets a **new query id**, so anything of the old attempt
+        still in flight (retransmitted packets, stale weight reports)
         resolves to a dead session on arrival and is discarded instead of
         contaminating the retry. Budget exhaustion moves the session's
         lifecycle to FAILED; :meth:`AsyncPSTMEngine.run` surfaces that as
@@ -381,50 +374,20 @@ class RecoveryManager:
             # boundary, or the interval gate skipped every boundary so
             # far): fall back to the full force-retry below.
             engine.metrics.checkpoint_fallbacks += 1
-        old_query_id = session.query_id
-        if engine.trace is not None:
-            # "recover" drops the abandoned attempt's open stage ledgers
-            # without the terminated/cancelled closing assertions: a crash
-            # or exhausted transport legitimately lost weight mid-stage.
-            engine.trace.emit(MEMO_CLEAR, old_query_id, pid=-1, site="recover")
-            engine.trace.emit(QUERY_CLOSE, old_query_id, reason="recover")
-        for runtime in engine.runtimes:
-            runtime.memo_store.clear_query(old_query_id)
-            # purge_partition (not raw purge_query): inboxed traversers of
-            # the abandoned attempt hold sender credits that must flow back.
-            engine.delivery.purge_partition(runtime, old_query_id)
-        engine.delivery.inflight.pop(old_query_id, None)
-        engine.progress.close_query(old_query_id)
-        engine.sessions.pop(old_query_id, None)
-        if session.qmetrics.retries >= engine.config.retry_budget:
-            session.lifecycle.to(QueryState.FAILED, REASON_RETRY_BUDGET)
-            engine._retire(session)
-            return
-        session.qmetrics.retries += 1
-        engine.metrics.query_retries += 1
-        new_query_id = engine._next_query_id
-        engine._next_query_id += 1
-        session.query_id = new_query_id
-        session.cursor = StageCursor(session.plan, new_query_id)
-        session.rng = random.Random((engine.seed << 20) ^ new_query_id)
-        session._contexts = [None] * engine.num_partitions
-        session.partials = []
-        session.expected_partials = 0
-        engine.sessions[new_query_id] = session
-        engine.progress.open_stage(new_query_id, 0)
-        if engine.trace is not None:
-            engine.trace.emit(STAGE_OPEN, new_query_id, stage=0,
-                              retry_of=old_query_id)
-        engine._dispatch_seeds(session, engine._stage0_seeds(session), engine.clock.now)
-        self.arm_watchdog(session)
+        # "recover" drops the abandoned attempt's open stage ledgers in the
+        # auditor without the terminated/cancelled closing assertions: a
+        # crash or exhausted transport legitimately lost weight mid-stage.
+        engine.delivery.evict_attempt(session, "recover")
+        if self._charge_retry(session):
+            self.install_attempt(session)
 
     def restore_query(
         self, session: "QuerySession", ckpt: "StageCheckpoint"
     ) -> None:
         """Resume a stuck query from its newest stage-boundary checkpoint.
 
-        The same fencing idiom as the force retry — the restored attempt
-        runs under a **fresh query id** so the dead attempt's strays
+        The same splice as the force retry — evict the dead attempt, run
+        the next under a **fresh query id** so the dead attempt's strays
         resolve to a dead session — but instead of restarting from the
         stage-0 seeds, every partition's memo shard is rolled back to the
         checkpointed boundary and the checkpointed frontier (whose weights
@@ -432,73 +395,70 @@ class RecoveryManager:
         work after the boundary is replayed; the rows are bit-for-bit
         identical to an uncrashed run because the checkpoint carries the
         session RNG state as of the boundary (docs/RECOVERY.md).
-
-        While the dead attempt is being purged its id sits in
-        ``delivery.fenced``, so the purge's weight reclaims take the no-op
-        path instead of reporting to the progress tracker — the restored
-        attempt replays that weight itself, and a report here would
-        double-count it (and could spuriously close the dead stage's
-        still-open ledger mid-restore).
         """
         engine = self.engine
-        delivery = engine.delivery
         old_query_id = session.query_id
-        delivery.fenced.add(old_query_id)
-        if engine.trace is not None:
-            # "restore" (like "recover") drops the dead attempt's open
-            # stage ledgers in the auditor before the purges below, so the
-            # fenced reclaims and accumulator drains audit as no-ops.
-            engine.trace.emit(MEMO_CLEAR, old_query_id, pid=-1, site="restore")
-            engine.trace.emit(QUERY_CLOSE, old_query_id, reason="restore")
-        stage = ckpt.stage
-        for runtime in engine.runtimes:
-            runtime.memo_store.clear_query(old_query_id)
-            w, n = delivery.purge_partition(runtime, old_query_id)
-            delivery.reclaim(old_query_id, stage, w, n, session=session)
-        for worker in engine.workers:
-            w, n = worker.reclaim_query(old_query_id)
-            delivery.reclaim(old_query_id, stage, w, n, session=session)
-        delivery.inflight.pop(old_query_id, None)
-        engine.progress.close_query(old_query_id)
-        delivery.fenced.discard(old_query_id)
-        engine.sessions.pop(old_query_id, None)
+        engine.delivery.evict_attempt(session, "restore")
+        if not self._charge_retry(session):
+            return
+        session.qmetrics.restores += 1
+        engine.metrics.checkpoint_restores += 1
+        self.install_attempt(session, ckpt, RESTORE, restored_from=old_query_id,
+                             n_seeds=len(ckpt.seeds))
+
+    def _charge_retry(self, session: "QuerySession") -> bool:
+        """Spend one retry of an evicted attempt's budget; when the budget
+        is exhausted, fail and retire the session instead (False)."""
+        engine = self.engine
         if session.qmetrics.retries >= engine.config.retry_budget:
-            engine.checkpoints.drop(old_query_id)
             session.lifecycle.to(QueryState.FAILED, REASON_RETRY_BUDGET)
             engine._retire(session)
-            return
+            return False
         session.qmetrics.retries += 1
-        session.qmetrics.restores += 1
         engine.metrics.query_retries += 1
-        engine.metrics.checkpoint_restores += 1
-        new_query_id = engine._next_query_id
+        return True
+
+    def install_attempt(
+        self,
+        session: "QuerySession",
+        ckpt: Optional["StageCheckpoint"] = None,
+        event: Optional[str] = None,
+        **fields: Any,
+    ) -> None:
+        """Start the next attempt of an evicted query under a fresh id.
+
+        The install half of the attempt splice (docs/RECOVERY.md), shared
+        by force-retry (``ckpt=None``: stage-0 seeds), checkpoint restore,
+        and resume (``preempt.resume_session``). The session's per-attempt
+        state is reset in one place (``QuerySession.reset_attempt``) from
+        the checkpoint's stage and RNG state, the checkpoint chain and its
+        memo shards move to the new id, and the stage ledger opens before
+        the frontier is dispatched and the watchdog armed. ``event``
+        (RESTORE / RESUME) is traced under the new id with ``fields``
+        just before its STAGE_OPEN.
+        """
+        engine = self.engine
+        old_query_id = session.query_id
+        query_id = engine._next_query_id
         engine._next_query_id += 1
-        session.query_id = new_query_id
-        cursor = StageCursor(session.plan, new_query_id)
-        cursor.current = stage
-        session.cursor = cursor
-        # Exact resume point: getstate() was captured right after the
-        # boundary's split_weight draws, so the replay's draws continue the
-        # original sequence bit for bit.
-        rng = random.Random(0)
-        rng.setstate(ckpt.rng_state)
-        session.rng = rng
-        session._contexts = [None] * engine.num_partitions
-        session.partials = []
-        session.expected_partials = 0
-        engine.sessions[new_query_id] = session
-        engine.checkpoints.rekey(old_query_id, new_query_id)
-        for pid, runtime in enumerate(engine.runtimes):
-            memo = ckpt.build_memo(pid)
-            if memo is not None:
-                runtime.memo_store.install(new_query_id, memo)
-        engine.progress.open_stage(new_query_id, stage)
+        if ckpt is None:
+            session.reset_attempt(query_id)
+            seeds = engine._stage0_seeds(session)
+        else:
+            session.reset_attempt(query_id, ckpt.stage, ckpt.rng_state)
+            engine.checkpoints.rekey(old_query_id, query_id)
+            for pid, runtime in enumerate(engine.runtimes):
+                memo = ckpt.build_memo(pid)
+                if memo is not None:
+                    runtime.memo_store.install(query_id, memo)
+            seeds = [t.evolve(query_id=query_id) for t in ckpt.seeds]
+        engine.sessions[query_id] = session
+        stage = session.cursor.current
+        engine.progress.open_stage(query_id, stage)
         if engine.trace is not None:
-            engine.trace.emit(RESTORE, new_query_id, stage=stage,
-                              restored_from=old_query_id,
-                              n_seeds=len(ckpt.seeds))
-            engine.trace.emit(STAGE_OPEN, new_query_id, stage=stage,
+            if event is not None:
+                engine.trace.emit(event, query_id, stage=stage, **fields)
+            engine.trace.emit(STAGE_OPEN, query_id, stage=stage,
                               retry_of=old_query_id)
-        seeds = [t.evolve(query_id=new_query_id) for t in ckpt.seeds]
         engine._dispatch_seeds(session, seeds, engine.clock.now)
         self.arm_watchdog(session)

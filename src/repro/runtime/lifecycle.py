@@ -303,7 +303,6 @@ class QuerySession:
         on_done: Optional[Callable[["QuerySession"], None]],
     ) -> None:
         self.engine = engine
-        self.query_id = query_id
         self.plan = plan
         self.params = params
         self.on_done = on_done
@@ -312,12 +311,8 @@ class QuerySession:
             engine.graph.partitioner,
             barrier_route=0 if engine.config.centralized_agg else None,
         )
-        self.rng = random.Random((engine.seed << 20) ^ query_id)
-        self.cursor = StageCursor(plan, query_id)
+        self.reset_attempt(query_id)
         self.qmetrics = QueryMetrics(query_id, plan.name, submitted_at_us=0.0)
-        self._contexts: List[Optional[StepContext]] = [None] * engine.num_partitions
-        self.expected_partials = 0
-        self.partials: List[GatheredPartial] = []
         #: the one source of truth for this query's outcome
         self.lifecycle = QueryLifecycle(
             engine.metrics.lifecycle_transitions,
@@ -353,6 +348,31 @@ class QuerySession:
         #: once and deliberately never reset by crash recovery or
         #: checkpoint restore, so every retry replays the same version cut
         self.snapshot_ts: Optional[int] = None
+
+    def reset_attempt(
+        self, query_id: int, stage: int = 0, rng_state: Optional[tuple] = None
+    ) -> None:
+        """Start a fresh execution attempt under ``query_id``.
+
+        The one place every per-attempt field is (re)set — the first
+        attempt at submission and each retry, restore, or resume
+        (``RecoveryManager.install_attempt``), so nothing of a dead
+        attempt can leak into the next. The cursor opens at ``stage``;
+        the RNG continues from ``rng_state`` (a checkpoint's boundary
+        state) or, without one, is seeded from the attempt id.
+        """
+        self.query_id = query_id
+        self.cursor = StageCursor(self.plan, query_id)
+        self.cursor.current = stage
+        if rng_state is None:
+            self.rng = random.Random((self.engine.seed << 20) ^ query_id)
+        else:
+            self.rng = random.Random(0)
+            self.rng.setstate(rng_state)
+        self._contexts: List[Optional[StepContext]]
+        self._contexts = [None] * self.engine.num_partitions
+        self.partials: List[GatheredPartial] = []
+        self.expected_partials = 0
 
     # -- derived outcome flags (legacy API, now contradiction-free) --------
 

@@ -5,7 +5,7 @@ checkpoint plane only restores after a *crash*; this module closes the
 gap between them (docs/RECOVERY.md): a long-running query can be asked to
 **yield at its next certified stage boundary**, where a forced snapshot
 captures its complete state for free, its cluster residue is evicted
-through the same fenced ledger splice crash-restore uses, and the freed
+through the same ledger splice crash-restore uses, and the freed
 execution slot goes to waiting interactive work. The paused query later
 re-enters through admission and resumes from the snapshot bit-for-bit.
 
@@ -20,15 +20,16 @@ The three phases, mirroring the cancel/restore idioms they reuse:
    *before* the next stage's ledger opens: force a
    :meth:`~repro.runtime.checkpoint.CheckpointPlane.maybe_snapshot`
    (bypassing the interval gate — the snapshot *is* the paused query),
-   then purge all cluster state under ``delivery.fenced`` so the reclaims
-   take the no-report path and the
-   :class:`~repro.runtime.trace.WeightLedgerAuditor` still proves
-   ``active + finished + reclaimed + lost ≡ 1`` across the splice.
+   then evict all cluster state through the restore splice's
+   ``DeliveryPlane.evict_attempt``, whose reclaims take the no-report
+   path so the :class:`~repro.runtime.trace.WeightLedgerAuditor` still
+   proves ``active + finished + reclaimed + lost ≡ 1`` across it.
    PAUSING → PAUSED, the slot is released, and the session re-enters the
    admission queue at its original priority.
-3. :func:`resume_session` — the second half of
-   :meth:`~repro.runtime.faults.RecoveryManager.restore_query`'s splice
-   (fresh query id, checkpoint rekey, memo install, RNG restore, seed
+3. :func:`resume_session` — the install half of
+   :meth:`~repro.runtime.faults.RecoveryManager.restore_query`'s splice,
+   :meth:`~repro.runtime.faults.RecoveryManager.install_attempt` (fresh
+   query id, checkpoint rekey, memo install, RNG restore, seed
    re-dispatch). Unlike a crash restore it consumes **no retry budget**:
    nothing was lost, so ``qmetrics.retries`` is untouched and the pause
    is counted in ``pauses``/``resumes``/``pause_wait_us`` instead.
@@ -47,21 +48,12 @@ is handed the engine object by its callers; it may not import it.
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING, List
 
-from repro.core.subquery import StageCursor
 from repro.runtime.lifecycle import QueryState
 from repro.runtime.metrics import MsgKind
 from repro.runtime.network import Message
-from repro.runtime.trace import (
-    MEMO_CLEAR,
-    PAUSE,
-    PREEMPT,
-    QUERY_CLOSE,
-    RESUME,
-    STAGE_OPEN,
-)
+from repro.runtime.trace import PAUSE, PREEMPT, RESUME
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.traverser import Traverser
@@ -139,31 +131,14 @@ def pause_at_boundary(
     seeds are split but *before* the next stage's ledger opens, so the
     evicted query leaves no open ledger behind. The snapshot is forced
     past the interval gate — it is the only copy of the frontier. The
-    purge reuses restore's fenced no-report reclaim splice; at a
-    certified boundary every purge is provably empty (Theorem 1), the
-    fence guards only against late strays such as retransmitted packets.
+    eviction is restore's (``DeliveryPlane.evict_attempt``); at a
+    certified boundary every purge is provably empty (Theorem 1), so it
+    only sweeps late strays such as retransmitted packets.
     """
-    delivery = engine.delivery
     query_id = session.query_id
     stage = session.cursor.current  # the stage the seeds open (resume point)
     engine.checkpoints.maybe_snapshot(engine, session, seeds, force=True)
-    delivery.fenced.add(query_id)
-    if engine.trace is not None:
-        # "pause" (like "restore") drops any straggling ledger state for
-        # the evicted attempt in the auditor before the purges below.
-        engine.trace.emit(MEMO_CLEAR, query_id, pid=-1, site="pause")
-        engine.trace.emit(QUERY_CLOSE, query_id, reason="pause")
-    for runtime in engine.runtimes:
-        runtime.memo_store.clear_query(query_id)
-        w, n = delivery.purge_partition(runtime, query_id)
-        delivery.reclaim(query_id, stage, w, n, session=session)
-    for worker in engine.workers:
-        w, n = worker.reclaim_query(query_id)
-        delivery.reclaim(query_id, stage, w, n, session=session)
-    delivery.inflight.pop(query_id, None)
-    engine.progress.close_query(query_id)
-    delivery.fenced.discard(query_id)
-    engine.sessions.pop(query_id, None)
+    engine.delivery.evict_attempt(session, "pause")
     session.lifecycle.to(QueryState.PAUSED, "preempt")
     session.paused_at_us = engine.clock.now
     session.qmetrics.pauses += 1
@@ -205,38 +180,20 @@ def try_resume(engine: "AsyncPSTMEngine", session: "QuerySession") -> bool:
 def resume_session(engine: "AsyncPSTMEngine", session: "QuerySession") -> None:
     """Re-dispatch an ADMITTED ex-paused session from its snapshot.
 
-    The second half of ``RecoveryManager.restore_query``'s splice: fresh
-    query id (late strays of the paused attempt resolve to a dead
-    session), checkpoint rekey for repeat pause/crash restorability, memo
-    shards reinstalled, RNG state rewound to the boundary, and the
-    checkpointed frontier re-dispatched — bit-for-bit the rows of an
-    uninterrupted run. No retry budget is consumed: nothing was lost.
+    The install half of the splice, shared with ``restore_query``
+    (``RecoveryManager.install_attempt``): fresh query id (late strays of
+    the paused attempt resolve to a dead session), checkpoint rekey for
+    repeat pause/crash restorability, memo shards reinstalled, RNG state
+    rewound to the boundary, and the checkpointed frontier re-dispatched —
+    bit-for-bit the rows of an uninterrupted run. No retry budget is
+    consumed: nothing was lost.
     """
-    ckpt = engine.checkpoints.latest(session.query_id)
+    old_query_id = session.query_id
+    ckpt = engine.checkpoints.latest(old_query_id)
     if ckpt is None:  # pragma: no cover - pause always stores a snapshot
         raise AssertionError(
-            f"paused query {session.query_id} has no checkpoint to resume from"
+            f"paused query {old_query_id} has no checkpoint to resume from"
         )
-    old_query_id = session.query_id
-    stage = ckpt.stage
-    new_query_id = engine._next_query_id
-    engine._next_query_id += 1
-    session.query_id = new_query_id
-    cursor = StageCursor(session.plan, new_query_id)
-    cursor.current = stage
-    session.cursor = cursor
-    rng = random.Random(0)
-    rng.setstate(ckpt.rng_state)
-    session.rng = rng
-    session._contexts = [None] * engine.num_partitions
-    session.partials = []
-    session.expected_partials = 0
-    engine.sessions[new_query_id] = session
-    engine.checkpoints.rekey(old_query_id, new_query_id)
-    for pid, runtime in enumerate(engine.runtimes):
-        memo = ckpt.build_memo(pid)
-        if memo is not None:
-            runtime.memo_store.install(new_query_id, memo)
     now = engine.clock.now
     waited = now - (session.paused_at_us if session.paused_at_us is not None
                     else now)
@@ -245,16 +202,9 @@ def resume_session(engine: "AsyncPSTMEngine", session: "QuerySession") -> None:
     engine.metrics.resumes += 1
     engine.metrics.pause_wait_us += waited
     session.lifecycle.to(QueryState.RUNNING)
-    engine.progress.open_stage(new_query_id, stage)
-    if engine.trace is not None:
-        engine.trace.emit(RESUME, new_query_id, stage=stage,
-                          resumed_from=old_query_id, n_seeds=len(ckpt.seeds),
-                          wait_us=waited)
-        engine.trace.emit(STAGE_OPEN, new_query_id, stage=stage,
-                          retry_of=old_query_id)
-    seeds = [t.evolve(query_id=new_query_id) for t in ckpt.seeds]
-    engine._dispatch_seeds(session, seeds, now)
-    engine.recovery.arm_watchdog(session)
+    engine.recovery.install_attempt(session, ckpt, RESUME,
+                                    resumed_from=old_query_id,
+                                    n_seeds=len(ckpt.seeds), wait_us=waited)
 
 
 def cancel_paused(

@@ -389,7 +389,7 @@ class WeightLedgerAuditor:
 
             elif kind == RECLAIM:
                 if not data.get("reported", False):
-                    continue  # teardown's report-free form: no ledger effect
+                    continue  # evict_attempt's report-free form: no ledger effect
                 key = (qid, data["stage"])
                 st = stages.get(key)
                 if st is None:

@@ -165,18 +165,6 @@ class PartitionRuntime:
         self.drop_query(query_id)
         return weight % GROUP_MODULUS, n_queue, n_inbox
 
-    def purge_query(self, query_id: int) -> int:
-        """Remove a query's queued traversers and stage counts.
-
-        Used by crash recovery before a retry so stale traversers of the
-        abandoned attempt cannot execute against the fresh one. Returns the
-        number of traversers removed. (Cancellation uses
-        :meth:`reclaim_query` directly: it additionally needs the purged
-        weight and the inbox count for credit release.)
-        """
-        _weight, n_queue, n_inbox = self.reclaim_query(query_id)
-        return n_queue + n_inbox
-
     def wake(self, now: float) -> None:
         """Wake one idle, alive worker (the least busy) to process the queue."""
         if not self.queue and not self.inbox:

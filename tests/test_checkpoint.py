@@ -92,8 +92,10 @@ def run_ck(
     kernel=None,
     retention=1,
     trace=True,
+    hook=None,
 ):
-    """One seeded engine run; returns ``(engine, result)``."""
+    """One seeded engine run; returns ``(engine, result)``. ``hook`` is
+    called with the engine before the run starts."""
     fault_plan = None
     if crashes:
         fault_plan = FaultPlan(worker_faults=tuple(
@@ -111,6 +113,8 @@ def run_ck(
         ),
         seed=ENGINE_SEED,
     )
+    if hook is not None:
+        hook(engine)
     return engine, engine.run(plan, START)
 
 
@@ -235,20 +239,56 @@ class TestCrashRecovery:
         assert engine.checkpoints.stored == 0
         assert audit_of(engine).ok
 
-    def test_fenced_reclaims_never_report_weight(self, ck_graph):
-        """The dead attempt's purge during a restore is fenced: RECLAIM
-        events are emitted for observability but carry reported=False, so
-        the ProgressTracker never double-counts the checkpointed frontier
-        (satellite 5)."""
+    def test_evicted_attempt_reclaims_never_report_weight(self, ck_graph):
+        """The dead attempt's purge during a restore never reports weight:
+        every RECLAIM of the evicted id is emitted for observability but
+        carries reported=False, so the ProgressTracker never double-counts
+        the checkpointed frontier the restored attempt re-dispatches."""
         plan = two_stage_plan(ck_graph)
         engine, _ = run_ck(
             ck_graph, plan, checkpoint=True, crashes=((2, AFTER_BOUNDARY),),
         )
-        fenced = [ev for ev in engine.trace.by_kind(RECLAIM)
-                  if ev.data.get("fenced")]
-        assert fenced  # the restore purged live stage-1 state
-        assert all(ev.data["reported"] is False for ev in fenced)
-        assert not engine.delivery.fenced  # fence lifted after the purge
+        (restore,) = engine.trace.by_kind(RESTORE)
+        evicted = [ev for ev in engine.trace.by_kind(RECLAIM)
+                   if ev.query_id == restore.data["restored_from"]]
+        # One report-free reclaim per partition and per worker purged.
+        assert len(evicted) == len(engine.runtimes) + len(engine.workers)
+        assert all(ev.data["reported"] is False for ev in evicted)
+
+    def test_restore_inside_combine_window_drops_stale_combine(self, ck_graph):
+        """A restore landing between the final stage's last partial and
+        its deferred combine (the tracker's charge window) retires that
+        attempt id, so the queued combine resolves to nothing instead of
+        combining the restored attempt's empty partials and retiring it
+        with wrong rows."""
+        plan = two_stage_plan(ck_graph)
+        _, base = run_ck(ck_graph, plan)
+        windows = []
+
+        def restore_mid_combine(engine):
+            charge = engine.tracker.charge
+
+            def charge_then_restore(at, cost_us):
+                done_at = charge(at, cost_us)
+                (session,) = engine.sessions.values()
+                if not windows and session.cursor.current == 1:
+                    windows.append((at, done_at))
+                    engine.clock.schedule_at(
+                        (at + done_at) / 2,
+                        lambda: engine.recovery.recover_query(session))
+                return done_at
+
+            engine.tracker.charge = charge_then_restore
+
+        engine, result = run_ck(ck_graph, plan, checkpoint=True,
+                                hook=restore_mid_combine)
+        ((at, done_at),) = windows
+        assert at < done_at
+        (restore,) = engine.trace.by_kind(RESTORE)
+        assert at < restore.ts < done_at
+        assert result.rows == base.rows
+        assert result.metrics.restores == 1
+        assert audit_of(engine).ok
 
 
 # -- retention ---------------------------------------------------------------

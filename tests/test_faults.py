@@ -288,3 +288,53 @@ class TestWorkerFaults:
         for runtime in engine.runtimes:
             assert runtime.memo_store.active_queries() == []
             assert not runtime.queue
+
+    def test_force_retry_evicts_the_dead_attempt_everywhere(self):
+        """A force-retry purges the dead attempt from every partition *and*
+        every surviving worker: no queued, inboxed or tier-1 buffered
+        traverser and no unflushed accumulator of the old id survives to
+        be flushed onto the wire later, and the purge is counted in the
+        query's ``traversers_reclaimed``."""
+        graph = make_graph(3)
+        plan = khop3_count(graph)
+        cfg = EngineConfig(
+            fault_plan=FaultPlan(seed=1, worker_faults=(
+                WorkerFault(wid=0, at_us=30.0, down_us=3000.0),)),
+            watchdog_timeout_us=20_000.0,
+        )
+        engine = AsyncPSTMEngine(graph, NODES, WPN, config=cfg)
+        recover = engine.recovery.recover_query
+        probes = []
+
+        def probed_recover(session):
+            old = session.query_id
+            resident = sum(
+                sum(t.query_id == old for t in r.queue)
+                + sum(t.query_id == old for t in r.inbox)
+                for r in engine.runtimes
+            ) + sum(
+                t.query_id == old
+                for w in engine.workers
+                for pairs in w._trav_buffers.values()
+                for _pid, t, _size in pairs
+            )
+            holders = [w.wid for w in engine.workers
+                       if old in w.resident_queries()]
+            before = session.qmetrics.traversers_reclaimed
+            recover(session)
+            probes.append((holders, resident,
+                           session.qmetrics.traversers_reclaimed - before))
+            for w in engine.workers:
+                assert old not in w.resident_queries(), w.wid
+            for r in engine.runtimes:
+                assert r.memo_store.peek(old) is None
+                assert not any(k[0] == old for k in r.stage_counts)
+
+        engine.recovery.recover_query = probed_recover
+        result = engine.run(plan, {"s": 5})
+        _, base = run_one(graph, plan, {"s": 5})
+        assert result.rows == base.rows
+        ((holders, resident, reclaimed),) = probes
+        assert holders  # surviving workers held the dead attempt's state
+        assert resident > 0
+        assert reclaimed == resident
