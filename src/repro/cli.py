@@ -353,7 +353,7 @@ def _trace_run(recipe: Dict):
     workload = recipe.get("workload", "khop3")
     queries = int(recipe["queries"])
     rng = _random.Random(42)
-    if workload == "khop3":
+    if workload in ("khop3", "two_stage"):
         from repro.datasets.synthetic import PowerLawConfig, powerlaw_graph
         from repro.query.traversal import Traversal
 
@@ -361,13 +361,28 @@ def _trace_run(recipe: Dict):
         graph = PartitionedGraph.from_graph(
             powerlaw_graph(config, seed=7), nodes * wpn
         )
-        plan = (
-            Traversal("khop3_count")
-            .v_param("start")
-            .khop(config.edge_label, k=3)
-            .count()
-            .compile(graph)
-        )
+        if workload == "khop3":
+            plan = (
+                Traversal("khop3_count")
+                .v_param("start")
+                .khop(config.edge_label, k=3)
+                .count()
+                .compile(graph)
+            )
+        else:
+            # Fused, so the k-hop frontier folds into the group_count
+            # partial; the barrier is a stage boundary a crash can
+            # restore from.
+            plan = (
+                Traversal("two_stage")
+                .v_param("start")
+                .khop(config.edge_label, k=2)
+                .as_("v")
+                .group_count("v")
+                .out(config.edge_label)
+                .count()
+                .compile(graph, fuse=True)
+            )
         params = [
             {"start": rng.randrange(config.num_vertices)}
             for _ in range(queries)
@@ -471,7 +486,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     """Run a traced batch, audit the trace, and print a summary.
 
     The worked example of docs/OBSERVABILITY.md: a batch of queries
-    (k-hop by default, LDBC IC9 with ``--workload ic9``) runs with
+    (k-hop by default; the fused two-stage plan with ``--workload
+    two_stage``; LDBC IC9 with ``--workload ic9``) runs with
     ``EngineConfig.trace`` enabled (optionally under injected faults, a
     worker crash, checkpointing, and a mid-flight cancellation), the
     per-query trace summary and event-kind histogram are printed, and the
@@ -611,10 +627,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="queries per batch (default 12)")
     trace.add_argument("--seed", type=int, default=1,
                        help="engine/fault RNG seed (default 1)")
-    trace.add_argument("--workload", choices=("khop3", "ic9"),
+    trace.add_argument("--workload", choices=("khop3", "two_stage", "ic9"),
                        default="khop3",
-                       help="traced workload: synthetic 3-hop count or "
-                            "LDBC IC9 (default khop3)")
+                       help="traced workload: synthetic 3-hop count, the "
+                            "fused two-stage plan (2-hop group_count, "
+                            "then one more hop, counted) or LDBC IC9 "
+                            "(default khop3)")
     trace.add_argument("--drop-rate", type=float, default=0.0,
                        help="also inject per-packet drops at this rate")
     trace.add_argument("--cancel", action="store_true",

@@ -3,8 +3,12 @@
 The fusion pass (:mod:`repro.query.fusion`) collapses short operator
 chains into single fused ops so a run never materializes the intermediate
 frontier: the fused op applies the whole chain per traverser and only
-emits the survivors (or, for count sinks, nothing at all — the count is
-absorbed directly into the downstream barrier's partial).
+emits the survivors (or, for sinks, nothing at all — survivors are folded
+directly into the downstream barrier's partition-local partial). The
+k-hop frontier ops fold the same way: :class:`FusedMinDistCount` counts
+admissions in place, and :class:`FusedMinDistChain` with a pushable
+barrier folds exit-chain survivors into it, so an admitted traverser
+keeps only its loop continuation.
 
 A fused plan is a *different* plan from its unfused source: simulated
 timings and traverser counts legitimately differ (that is the point).
@@ -23,10 +27,14 @@ Fusion legality notes (enforced by the pass, relied on here):
   partition the fused op runs on — e.g. expand→expand only fuses on an
   unpartitioned store, and expand→filter only when the filter is
   payload-only (``needs_vertex=False``);
-* count sinks absorb into the *original* barrier's memo label, and the
-  barrier op itself stays in the plan at its index, so stage-termination
-  partial gathering (which reads the barrier op, on every partition) is
-  unchanged;
+* sinks and frontier folds absorb into the *original* barrier's memo
+  label, and the barrier op itself stays in the plan at its index, so
+  stage-termination partial gathering (which reads the barrier op, on
+  every partition) is unchanged;
+* a fold prices each absorbed row as the barrier step it replaces
+  (+1 base, +1 memo op) and folds through the barrier's own ``absorb``
+  (scalar) or one bulk ``apply_batch`` per run (batched), which fold
+  rows in the same order with the same partial updates;
 * replaced ops keep their plan index and jump targets, so other ops that
   jump *into* the middle of a fused chain still execute the original
   (unreplaced) intermediate ops.
@@ -369,13 +377,15 @@ class FusedCollectSink(_FusedAbsorbSink):
     distributed top-N pushdown — partial top-N below the exchange,
     merged at stage termination by the barrier's own ``combine``.
 
-    Legality is gated by the query declaring ``unique=True`` on its
-    ``order_by``: :meth:`CollectAgg.combine` sorts merged rows by the
-    order key alone, so when that key never ties, which partition
-    absorbed a row (and in what arrival order) cannot change the final
-    top-N. Without the declaration, ties at the cutoff resolve by
-    barrier-arrival order, which pushdown does not preserve — the
-    fusion pass skips those plans.
+    Legality is gated by a tie-free sort key
+    (:attr:`CollectAgg.unique_order`: the query declared
+    ``order_by(..., unique=True)``, or every selected column is a bare
+    binding term of the key, so equal keys mean equal rows):
+    :meth:`CollectAgg.combine` sorts merged rows by the order key alone,
+    so when distinct rows never tie, which partition absorbed a row (and
+    in what arrival order) cannot change the final top-N. Otherwise ties
+    at the cutoff resolve by barrier-arrival order, which pushdown does
+    not preserve — the fusion pass skips those plans.
     """
 
     def __init__(self, inner: PhysicalOp, agg: AggregateOp) -> None:
@@ -534,9 +544,10 @@ class FusedChain(PhysicalOp):
 
 
 class FusedMinDistChain(VertexRoutedOp):
-    """``MinDistBranch`` with its exit chain (and optionally the chain's
-    trailing ``Expand``) applied inline — the k-hop *frontier* hot loop
-    of plans that post-process k-hop results rather than counting them.
+    """``MinDistBranch`` with its exit chain applied inline — the k-hop
+    *frontier* hot loop of plans that post-process k-hop results rather
+    than counting them. The chain's successor is absorbed too when it is
+    a plain same-vertex ``Expand`` or a pushable aggregation barrier.
 
     The unfused lowering makes every admission spawn an exit child that
     hops through ``Dedup``/``Filter``/``Project`` ops at the same
@@ -545,9 +556,19 @@ class FusedMinDistChain(VertexRoutedOp):
     batched kernels' homogeneous runs. Inlining the chain (all links are
     vertex-preserving, and the branch memo, dedup table, and vertex
     properties all live at the vertex's home partition) emits the chain
-    *survivor* directly at the chain successor — and when the successor
-    is a plain same-vertex ``Expand``, its adjacency is also local, so
-    the survivor's expansion children are emitted directly too.
+    *survivor* directly at the chain successor, and:
+
+    * when the successor is a plain same-vertex ``Expand`` (``expand``),
+      its adjacency is also local, so the survivor's expansion children
+      are emitted directly;
+    * when the successor is a barrier the fusion pass may push down
+      (``agg``: ``Count``, ``GroupCount``, or a tie-free ordered
+      ``Collect``), the survivor is folded into the barrier's
+      partition-local partial — one bulk ``apply_batch`` per run, priced
+      +1 base / +1 memo op like the barrier step it replaces — so an
+      admitted traverser keeps only its loop child, at full weight and
+      with no RNG draw. Partials are gathered from every partition at
+      stage termination, exactly as for the pushdown sinks.
 
     Result-exactness of inlining the dedup links: every exit child routes
     to the chain head at its own vertex's partition via the local FIFO
@@ -562,9 +583,12 @@ class FusedMinDistChain(VertexRoutedOp):
         branch: MinDistBranchOp,
         chain: FusedChain,
         expand: Optional[ExpandOp] = None,
+        agg: Optional[AggregateOp] = None,
     ) -> None:
-        tail = f"+{expand.name}" if expand is not None else ""
-        super().__init__(f"Fused({branch.name}+{chain.name}{tail})")
+        assert expand is None or agg is None
+        tail = expand if expand is not None else agg
+        suffix = f"+{tail.name}" if tail is not None else ""
+        super().__init__(f"Fused({branch.name}+{chain.name}{suffix})")
         self.dist_slot = branch.dist_slot
         self.max_dist = branch.max_dist
         self.memo_label = branch.memo_label
@@ -572,13 +596,21 @@ class FusedMinDistChain(VertexRoutedOp):
         self.exit_idx = branch.exit_idx  # kept for plan validation/dumps
         self.stage = branch.stage
         self.expand = expand
-        self.next_idx = expand.next_idx if expand is not None else chain.next_idx
+        self.agg = agg
+        # With a folded barrier, next_idx is validation only (never
+        # spawned to), like the pushdown sinks'.
+        self.next_idx = (
+            expand.next_idx if expand is not None else chain.next_idx
+        )
         self._links = chain._links
         # Chain prefixes shifted by the branch's own cost (+1 base,
         # +1 memo op); dropped-at-link-j exits price links 0..j.
         self._prefix = [
             (b + 1, e, m + 1, p) for b, e, m, p in chain._prefix
         ]
+        # A folded survivor also pays the barrier step (+1 base, +1 memo).
+        b, e, m, p = self._prefix[-1]
+        self._folded = (b + 1, e, m + 1, p)
 
     def apply(self, ctx: StepContext, trav: Traverser) -> StepOutcome:
         """Execute this op for one traverser (operator contract)."""
@@ -614,6 +646,9 @@ class FusedMinDistChain(VertexRoutedOp):
             elif not memo.insert_if_absent(link[1], vertex):
                 ct, payload = self._prefix[j], None
                 break
+        if payload is not None and self.agg is not None:
+            self.agg.absorb(ctx, probe)
+            ct, payload = self._folded, None  # folded: no exit child
         cost.base = ct[0]
         cost.memo_ops = ct[2]
         cost.props = ct[3]
@@ -653,6 +688,10 @@ class FusedMinDistChain(VertexRoutedOp):
         full = prefix[-1]
         expand = self.expand
         expand_apply = None if expand is None else expand.apply
+        fold = self.agg is not None
+        folded = self._folded
+        survivors: List[Traverser] = []
+        survivor_append = survivors.append
         probe = Traverser(0, -1, nxt, (), 0, self.stage, 0)
         for trav in travs:
             orig = trav.payload
@@ -687,6 +726,17 @@ class FusedMinDistChain(VertexRoutedOp):
                     break
             if payload is None:
                 specs: List[ChildSpec] = []
+            elif fold:
+                # Folded after the loop in one bulk apply_batch, in the
+                # same order the scalar path absorbs.
+                survivor_append(
+                    Traverser(
+                        trav.query_id, vertex, nxt, payload, 0,
+                        trav.stage, trav.loops,
+                    )
+                )
+                ct = folded
+                specs = []
             elif expand_apply is not None:
                 probe.payload = payload
                 ex_out = expand_apply(ctx, probe)
@@ -702,6 +752,8 @@ class FusedMinDistChain(VertexRoutedOp):
                 specs.append((vertex, loop_idx, orig, trav.loops))
             append(specs if specs else _NO_CHILDREN)
             cost_append(ct)
+        if survivors:
+            self.agg.apply_batch(ctx, survivors)
         return BatchOutcome(children, costs)
 
 

@@ -35,6 +35,7 @@ from typing import (
     Callable,
     Dict,
     Hashable,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -1245,91 +1246,96 @@ class CollectAgg(AggregateOp):
         self.order_key = order_key
         self.ascending = ascending
         self.limit = limit
-        #: declared by the query (``order_by(..., unique=True)``): the
-        #: order key is a total order over result rows, so :meth:`combine`
-        #: is arrival- and partition-order independent. Gates the fusion
-        #: pass's distributed top-N pushdown.
+        #: the order key is tie-free over result rows — declared by the
+        #: query (``order_by(..., unique=True)``) or inferred by the
+        #: compiler when every selected column is a bare binding term of
+        #: the key, so equal keys mean equal rows. Either way
+        #: :meth:`combine` is arrival- and partition-order independent.
+        #: Gates the fusion pass's distributed top-N pushdown.
         self.unique_order = unique_order
 
     def _bounded(self) -> bool:
         return self.order_key is not None and self.limit is not None
 
-    def absorb(self, ctx: StepContext, trav: Traverser) -> None:
-        """Fold one traverser into the partition-local partial."""
+    def _partial(self, memo: QueryMemo) -> Any:
+        """This partition's partial, created on first use."""
         label = self.memo_label()
-        partial = ctx.memo.get(label, "partial")
+        partial = memo.get(label, "partial")
         if partial is None:
             # Bounded partials are {"n": tiebreak counter, "heap": [...]}
             partial = {"n": 0, "heap": []} if self._bounded() else []
-            ctx.memo.put(label, "partial", partial)
+            memo.put(label, "partial", partial)
+        return partial
+
+    def _fold_bounded(self, partial: Dict[str, Any], rows: Iterable[Any]) -> None:
+        """Fold ``rows``, in arrival order, into a bounded partial.
+
+        Each row is entered as ``(key, arrival number, row)`` — the
+        arrival number is the deterministic tiebreak within the
+        partition, and ascending keys are wrapped in :class:`_NegKey` so
+        the min-heap root is the current worst row. A row *strictly*
+        worse than that root is rejected before its entry is built: a
+        push of a new strict minimum followed by a pop restores the heap
+        list exactly, so rejection leaves both the contents and the
+        layout (which resolves tied keys in :meth:`combine`) unchanged.
+        Scalar :meth:`absorb` and :meth:`apply_batch` both fold through
+        here, so the kernel tiers stay bit-identical.
+        """
+        heap = partial["heap"]
+        count = partial["n"]
+        order_key = self.order_key
+        ascending = self.ascending
+        limit = self.limit
+        unique = self.unique_order
+        push = heapq.heappush
+        pop = heapq.heappop
+        pushpop = heapq.heappushpop
+        for row in rows:
+            count += 1
+            key = order_key(row)
+            full = len(heap) >= limit
+            if full:
+                worst = heap[0][0]
+                if (worst.key < key) if ascending else (key < worst):
+                    continue
+            entry = (_NegKey(key), count, row) if ascending else (key, count, row)
+            if unique and full:
+                # Total order → combine() fully determines the final
+                # rows, so the heap's internal layout is unobservable and
+                # below-cutoff rows can skip the heap.
+                if heap[0] < entry:
+                    pushpop(heap, entry)
+            else:
+                push(heap, entry)
+                if len(heap) > limit:
+                    pop(heap)
+        partial["n"] = count
+
+    def absorb(self, ctx: StepContext, trav: Traverser) -> None:
+        """Fold one traverser into the partition-local partial."""
+        partial = self._partial(ctx.memo)
         row = self.row_fn(trav)
         if self._bounded():
-            partial["n"] += 1
-            heap = partial["heap"]
-            # Deterministic tiebreak: arrival order within the partition.
-            entry = (self.order_key(row), partial["n"], row)
-            if self.ascending:
-                entry = _neg_entry3(entry)
-            if self.unique_order and len(heap) >= self.limit:
-                # Total order declared → combine() fully determines the
-                # final rows, so the heap's internal layout is
-                # unobservable and below-cutoff rows can skip the heap.
-                if heap[0] < entry:
-                    heapq.heappushpop(heap, entry)
-            else:
-                heapq.heappush(heap, entry)
-                if len(heap) > self.limit:
-                    heapq.heappop(heap)
+            self._fold_bounded(partial, (row,))
         else:
             partial.append(row)
 
     def apply_batch(self, ctx: StepContext, travs: Sequence[Traverser]) -> BatchOutcome:
         n = len(travs)
-        memo = ctx.memo
-        label = self.memo_label()
-        bounded = self._bounded()
-        partial = memo.get(label, "partial")
-        if partial is None:
-            partial = {"n": 0, "heap": []} if bounded else []
-            memo.put(label, "partial", partial)
-        row_fn = self.row_fn
-        if bounded:
-            heap = partial["heap"]
-            count = partial["n"]
-            order_key = self.order_key
-            ascending = self.ascending
-            limit = self.limit
-            push = heapq.heappush
-            pop = heapq.heappop
-            # Same push/pop sequence as absorb(): tied order keys resolve by
-            # the heap's internal list order.
-            if self.unique_order:
-                # Mirror of absorb()'s declared-total-order fast path.
-                pushpop = heapq.heappushpop
-                for trav in travs:
-                    row = row_fn(trav)
-                    count += 1
-                    entry = (order_key(row), count, row)
-                    if ascending:
-                        entry = _neg_entry3(entry)
-                    if len(heap) < limit:
-                        push(heap, entry)
-                    elif heap[0] < entry:
-                        pushpop(heap, entry)
-            else:
-                for trav in travs:
-                    row = row_fn(trav)
-                    count += 1
-                    entry = (order_key(row), count, row)
-                    push(heap, _neg_entry3(entry) if ascending else entry)
-                    if len(heap) > limit:
-                        pop(heap)
-            partial["n"] = count
+        partial = self._partial(ctx.memo)
+        rows = map(self.row_fn, travs)
+        if self._bounded():
+            self._fold_bounded(partial, rows)
         else:
-            append = partial.append
-            for trav in travs:
-                append(row_fn(trav))
+            partial.extend(rows)
         return BatchOutcome([_NO_CHILDREN] * n, [(1, 0, 1, 0)] * n)
+
+    def estimated_partial_size(self, partial: Any) -> int:
+        """Wire-size estimate: a bounded partial is priced by the rows in
+        its heap, 24 B each, like an unbounded row list."""
+        if partial is not None and self._bounded():
+            return 24 * max(len(partial["heap"]), 1)
+        return super().estimated_partial_size(partial)
 
     def combine(self, partials: List[Any]) -> List[Any]:
         """Merge partition partials into the global aggregate."""
@@ -1360,7 +1366,3 @@ class CollectAgg(AggregateOp):
 
 def _neg_entry3(entry: Tuple[Any, Any, Any]) -> Tuple[Any, Any, Any]:
     return (_NegKey(entry[0]), entry[1], entry[2])
-
-
-def _unneg_entry3(entry: Tuple[Any, Any, Any]) -> Tuple[Any, Any, Any]:
-    return (entry[0].key, entry[1], entry[2])

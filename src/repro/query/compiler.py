@@ -394,7 +394,9 @@ class _Compiler:
                 if self.out_names is None:
                     raise CompilationError("order_by requires a prior select()")
                 order_key = self._row_sort_key(step.parts)
-                unique_order = step.unique
+                unique_order = step.unique or self._key_covers_select(
+                    step.parts
+                )
         self.emit(
             phys.CollectAgg(row_fn, order_key, ascending, limit,
                             unique_order=unique_order)
@@ -406,6 +408,18 @@ class _Compiler:
             Stage(self.current_stage, self.stage_entries, len(self.ops) - 1)
         )
         self.stage_entries = []
+
+    def _key_covers_select(self, parts: List[Tuple[X, str]]) -> bool:
+        """Whether every selected column is a bare ``X.binding(name)``
+        term of the order key (either direction). Equal keys then mean
+        equal rows, so the key is tie-free in the only sense
+        :meth:`~repro.core.steps.CollectAgg.combine` can observe — the
+        same assumption ``order_by(..., unique=True)`` declares, and
+        likewise void for keys that do not compare as a total order
+        (NaN)."""
+        assert self.out_names is not None
+        bare = {expr.binding_name for expr, _direction in parts}
+        return all(name in bare for name in self.out_names)
 
     def _row_sort_key(
         self, parts: List[Tuple[X, str]]

@@ -44,6 +44,8 @@ class X:
         self.needs_vertex = needs_vertex
         self.describe = describe
         self._build = build
+        #: the binding a bare :meth:`binding` leaf reads (None otherwise)
+        self.binding_name: Optional[str] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"X<{self.describe}>"
@@ -110,7 +112,9 @@ class X:
             slot = slots[name]
             return lambda ctx, trav: trav.payload[slot]
 
-        return cls("binding", False, f"binding({name})", build)
+        leaf = cls("binding", False, f"binding({name})", build)
+        leaf.binding_name = name
+        return leaf
 
     @classmethod
     def loops(cls) -> "X":

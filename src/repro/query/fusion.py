@@ -19,9 +19,12 @@ Fusion rules (docs/PERFORMANCE.md):
    → :class:`~repro.core.fused.FusedMinDistCount` (the k-hop counting
    hot loop: no exit children, no weight splits in the loop). Otherwise,
    an exit chain of unary vertex-preserving ops (each with exactly one
-   predecessor), optionally ending at a plain same-vertex ``Expand``, is
-   inlined at the branch →
-   :class:`~repro.core.fused.FusedMinDistChain`.
+   predecessor) is inlined at the branch →
+   :class:`~repro.core.fused.FusedMinDistChain`. When the chain ends at a
+   barrier rule 5 can push down, the frontier folds its survivors into
+   that barrier's partition-local partial (``agg``), so an admitted
+   traverser keeps only its loop child; when it ends at a plain
+   same-vertex ``Expand``, survivors expand in place (``expand``).
 2. ``Expand`` (plain: single direction+label, no edge bindings) whose
    successor is a payload-only ``Filter`` →
    :class:`~repro.core.fused.FusedExpandFilter`; if the filter's
@@ -35,15 +38,17 @@ Fusion rules (docs/PERFORMANCE.md):
 4. ``Expand`` → ``Expand`` → :class:`~repro.core.fused.FusedExpandExpand`
    — only on an unpartitioned store (``num_partitions == 1``), where the
    intermediate vertex's adjacency is guaranteed local.
-5. Aggregation pushdown: wherever rule 2/3 looks for a ``Count``
-   barrier, a ``GroupCount`` barrier fuses the same way
+5. Aggregation pushdown: wherever rule 1/2/3 looks for a pushable
+   barrier, a ``Count`` or ``GroupCount`` barrier always qualifies
    (:class:`~repro.core.fused.FusedGroupCountSink` — per-key sums merge
-   commutatively), and an ordered ``Collect`` barrier fuses when the
-   query declared its sort key tie-free
-   (``order_by(..., unique=True)`` →
+   commutatively), and an ordered ``Collect`` barrier qualifies when its
+   sort key is tie-free (:attr:`CollectAgg.unique_order
+   <repro.core.steps.CollectAgg.unique_order>`: declared with
+   ``order_by(..., unique=True)``, or inferred by the compiler when every
+   selected column is a bare binding term of the key) →
    :class:`~repro.core.fused.FusedCollectSink`, the distributed top-N
    pushdown: partition-local bounded partials, merged by the barrier's
-   ``combine`` at stage termination).
+   ``combine`` at stage termination.
 
 A fused plan produces exactly the same result rows as its source plan,
 and all kernel tiers execute it bit-for-bit identically; simulated
@@ -96,32 +101,45 @@ def _chain_link(op) -> bool:
     return t is DedupOp and op.routing_mode == "vertex"
 
 
-def _sink_for(inner, succ) -> Optional[object]:
-    """A pushdown sink fusing ``inner`` with its successor barrier
-    ``succ``, or None when the successor is not a pushable barrier.
+#: The pushdown sink of each barrier type (see :func:`_pushable`).
+_SINKS = {
+    CountAgg: FusedCountSink,
+    GroupCountAgg: FusedGroupCountSink,
+    CollectAgg: FusedCollectSink,
+}
+
+
+def _pushable(succ) -> bool:
+    """Whether barrier ``succ`` may absorb rows at any partition.
 
     * ``Count`` — always pushable (pure commutative sum).
     * ``GroupCount`` — always pushable (per-key sums merge by addition;
       finalize orders by ``(-count, key)``, independent of absorption
       partition and order).
-    * ordered ``Collect`` — pushable only when the query declared its
-      sort key a total order (``order_by(..., unique=True)``): the
-      merge sorts by the order key alone, so uniqueness makes the
-      partition-local bounded partials exact. Unordered collects are
-      never pushed (their row order *is* barrier-arrival order).
+    * ordered ``Collect`` — pushable only when its sort key is tie-free
+      (``CollectAgg.unique_order``: declared with
+      ``order_by(..., unique=True)``, or inferred by the compiler when
+      the key covers every selected column): the merge sorts by the
+      order key alone, so tie-freedom makes the partition-local bounded
+      partials exact. Unordered collects are never pushed (their row
+      order *is* barrier-arrival order).
     """
     st = type(succ)
-    if st is CountAgg:
-        return FusedCountSink(inner, succ)
-    if st is GroupCountAgg:
-        return FusedGroupCountSink(inner, succ)
-    if (
+    if st is CountAgg or st is GroupCountAgg:
+        return True
+    return (
         st is CollectAgg
         and succ.order_key is not None
         and succ.unique_order
-    ):
-        return FusedCollectSink(inner, succ)
-    return None
+    )
+
+
+def _sink_for(inner, succ) -> Optional[object]:
+    """A pushdown sink fusing ``inner`` with its successor barrier
+    ``succ``, or None when the successor is not a pushable barrier."""
+    if not _pushable(succ):
+        return None
+    return _SINKS[type(succ)](inner, succ)
 
 
 def _ref_counts(plan: PhysicalPlan) -> dict:
@@ -201,8 +219,13 @@ def fuse_plan(
                     chain.append(ops[j])
                     j = ops[j].next_idx
                 if chain:
-                    tail = None
-                    if (
+                    tail = agg = None
+                    if 0 <= j < n and _pushable(ops[j]):
+                        # The chain ends at a pushable barrier: survivors
+                        # fold into its partition-local partial in place
+                        # and only the loop continuation remains.
+                        agg = ops[j]
+                    elif (
                         0 <= j < n
                         and type(ops[j]) is ExpandOp
                         and _plain_expand(ops[j])
@@ -212,7 +235,9 @@ def fuse_plan(
                         # its adjacency is local too, so survivors expand
                         # in place and only remote-bound children remain.
                         tail = ops[j]
-                    ops[i] = FusedMinDistChain(op, FusedChain(chain), tail)
+                    ops[i] = FusedMinDistChain(
+                        op, FusedChain(chain), tail, agg
+                    )
                     changed = True
         elif t is ExpandOp and _plain_expand(op):
             nx = op.next_idx

@@ -273,12 +273,19 @@ class Traversal:
         """Order final rows by (expression, "asc"/"desc") pairs.
 
         ``unique=True`` declares that the combined sort key is a total
-        order over the result rows — no two rows ever compare equal
-        (typically because the last part is a unique id tiebreaker).
-        The declaration lets the optimizer push the top-N bound below
-        the exchange (partition-local partial top-N); a false
-        declaration can change which of several tied rows survive the
-        limit cutoff.
+        order over the result rows — no two distinct rows ever compare
+        equal (typically because the last part is a unique id
+        tiebreaker). A tie-free key lets the optimizer push the top-N
+        bound below the exchange (partition-local partial top-N); a
+        false declaration can change which of several tied rows survive
+        the limit cutoff.
+
+        The declaration is only needed when the key does not cover the
+        select: when every selected column appears in the key as a bare
+        ``X.binding(name)`` term, equal keys mean equal rows and the
+        compiler infers tie-freedom itself. Both assume keys compare as
+        a total order — a NaN in a sort column voids it, and rows tied
+        with it may then differ from the unfused plan's.
         """
         if self._order is None:
             self._order = ast.OrderLimitStep(list(parts), unique=unique)

@@ -12,7 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.fused import FusedCollectSink, FusedGroupCountSink
+from repro.core.fused import (
+    FusedCollectSink,
+    FusedGroupCountSink,
+    FusedMinDistChain,
+)
 from repro.errors import ConfigurationError
 from repro.graph.builder import GraphBuilder
 from repro.graph.partition import PartitionedGraph
@@ -219,12 +223,32 @@ def _topn_query(unique: bool) -> Traversal:
     )
 
 
+def _topn_keyed(*parts) -> Traversal:
+    return (
+        Traversal("topn").v_param("s").out("e").dedup()
+        .values("w", "weight").as_("v").select("v", "w")
+        .order_by(*parts).limit(4)
+    )
+
+
+def _pushes_collect(traversal: Traversal, graph) -> bool:
+    plan = traversal.compile(graph, fuse=True)
+    return any(type(op) is FusedCollectSink for op in plan.ops)
+
+
 def test_collect_pushdown_gated_on_unique_declaration():
+    """The top-N pushdown fires only for a tie-free key: one declared
+    with ``unique=True``, or one whose bare binding terms cover every
+    selected column (equal keys then mean equal rows). A key leaving a
+    selected column uncovered, or covering it only through an
+    expression, does not fuse without the declaration."""
     graph = make_graph(321)
-    gated = _topn_query(True).compile(graph, fuse=True)
-    assert any(type(op) is FusedCollectSink for op in gated.ops)
-    plain = _topn_query(False).compile(graph, fuse=True)
-    assert not any(type(op) is FusedCollectSink for op in plain.ops)
+    assert _pushes_collect(_topn_query(True), graph)
+    assert _pushes_collect(_topn_query(False), graph)  # inferred
+    w_only = (X.binding("w"), "desc")
+    assert not _pushes_collect(_topn_keyed(w_only), graph)
+    expr_key = (X.binding("w").add(1), "desc"), (X.binding("v"), "asc")
+    assert not _pushes_collect(_topn_keyed(*expr_key), graph)
 
 
 @given(
@@ -257,6 +281,45 @@ def test_group_count_pushdown_rows_exact(seed, start):
     rows_u, _ = _run_kernel(graph, q().compile(graph), start, KERNELS[-1])
     rows_f, _ = _run_kernel(graph, fused, start, KERNELS[-1])
     assert rows_f == rows_u
+
+
+# -- frontier fold (fusion rule 1 with a pushable barrier) ----------------------
+
+FRONTIER_FOLD_QUERIES = {
+    # Fig 1's shape with no unique=True: the (w desc, vid asc) key covers
+    # the whole select, so the compiler infers it tie-free.
+    "fig1": lambda: (Traversal("fig1").v_param("s").khop("e", k=3)
+                     .filter_(X.vertex().neq(X.param("s")))
+                     .values("w", "weight").as_("vid").select("vid", "w")
+                     .order_by((X.binding("w"), "desc"),
+                               (X.binding("vid"), "asc"))
+                     .limit(5)),
+    # The skew-churn two-stage plan: the group_count stage boundary.
+    "two_stage": lambda: (Traversal("two_stage").v_param("s").khop("e", k=2)
+                          .as_("v").group_count("v").out("e").count()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRONTIER_FOLD_QUERIES))
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    start=st.integers(min_value=0, max_value=39),
+)
+@settings(max_examples=15, deadline=None)
+def test_frontier_fold_exact_and_tier_identical(name, seed, start):
+    """The k-hop frontier folds its exit-chain survivors into the barrier
+    partial: the fused plan returns the unfused rows, and every kernel
+    tier runs it bit for bit alike (rows and simulated latency)."""
+    graph = make_graph(seed)
+    builder = FRONTIER_FOLD_QUERIES[name]
+    fused = builder().compile(graph, fuse=True)
+    assert any(type(op) is FusedMinDistChain and op.agg is not None
+               for op in fused.ops)
+    expected, _ = _run_kernel(graph, builder().compile(graph), start, "scalar")
+    reference = _run_kernel(graph, fused, start, "scalar")
+    assert reference[0] == expected
+    for kernel in KERNELS[1:]:
+        assert _run_kernel(graph, fused, start, kernel) == reference
 
 
 @given(seed=st.integers(min_value=0, max_value=1000))

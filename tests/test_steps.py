@@ -444,3 +444,67 @@ class TestAggregations:
         assert op.estimated_partial_size(5) == 8
         assert op.estimated_partial_size({"a": 1, "b": 2}) == 32
         assert op.estimated_partial_size([1, 2, 3]) == 72
+
+    def test_bounded_collect_partial_priced_per_heap_row(self, diamond_ctx):
+        """A bounded Collect partial ({"n", "heap"}) costs 24 B per row it
+        holds, like an unbounded row list — not a flat 2-entry dict."""
+        op = CollectAgg(row_fn=lambda t: (t.vertex,),
+                        order_key=lambda row: row[0], limit=3)
+        op.idx = 36
+        ctx = diamond_ctx.ctx(0)
+        op.apply(ctx, trav(1))
+        partial = op.partial(diamond_ctx.memo_stores[0].peek(0))
+        assert op.estimated_partial_size(partial) == 24
+        for v in range(2, 10):
+            op.apply(ctx, trav(v))
+        assert len(partial["heap"]) == 3
+        assert op.estimated_partial_size(partial) == 72
+        assert op.estimated_partial_size(None) == 8
+        unbounded = CollectAgg(order_key=lambda row: row)
+        assert unbounded.estimated_partial_size([1, 2]) == 48
+
+    @pytest.mark.parametrize("ascending", [True, False])
+    @pytest.mark.parametrize("unique", [True, False])
+    def test_bounded_collect_rejection_keeps_heap_layout(
+        self, diamond_ctx, ascending, unique
+    ):
+        """Rejecting a row strictly worse than the heap root before
+        building its entry leaves the heap list exactly as the plain
+        push/pop sequence would — contents and layout — on the scalar
+        and the batch path alike."""
+        import heapq
+        import random
+
+        from repro.core.steps import _NegKey
+
+        rng = random.Random(7 + ascending + 2 * unique)
+        rows = [(rng.randrange(12), i) for i in range(300)]
+        limit = 5
+        ref, count = [], 0
+        for row in rows:
+            count += 1
+            key = row[0]
+            entry = ((_NegKey(key), count, row) if ascending
+                     else (key, count, row))
+            if unique and len(ref) >= limit:
+                if ref[0] < entry:
+                    heapq.heappushpop(ref, entry)
+            else:
+                heapq.heappush(ref, entry)
+                if len(ref) > limit:
+                    heapq.heappop(ref)
+        for pid, batched in ((0, False), (1, True)):
+            op = CollectAgg(row_fn=lambda t: t.payload,
+                            order_key=lambda row: row[0], ascending=ascending,
+                            limit=limit, unique_order=unique)
+            op.idx = 37
+            ctx = diamond_ctx.ctx(pid)
+            travs = [trav(0, payload=row) for row in rows]
+            if batched:
+                op.apply_batch(ctx, travs)
+            else:
+                for t in travs:
+                    op.apply(ctx, t)
+            partial = op.partial(diamond_ctx.memo_stores[pid].peek(0))
+            assert [e[1:] for e in partial["heap"]] == [e[1:] for e in ref]
+            assert partial["n"] == len(rows)
